@@ -63,7 +63,7 @@ void BM_EventQueue_CancelHeavy(benchmark::State& state) {
   // The fabric's settlement loop historically cancelled and re-pushed every
   // active flow's completion event on each refresh tick; this isolates the
   // schedule/cancel cost that pattern stresses (half the events cancelled,
-  // dropped lazily from the heap).
+  // each removed from the heap at once).
   std::vector<sim::EventHandle> handles;
   handles.reserve(1000);
   for (auto _ : state) {

@@ -767,7 +767,8 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
   // Reschedule completions at the new rates — but keep the queued event
   // when the rate is unchanged (within tolerance) and the stored finish
   // time is still exact for the new remaining bytes. Refresh ticks on
-  // stable links then leave the event heap untouched.
+  // stable links then leave the event heap untouched. A pending completion
+  // moves in place; only a flow without one schedules a new event.
   const SimTime now = engine_.now();
   for (std::size_t i = 0; i < to_reschedule_.size(); ++i) {
     Flow* f = to_reschedule_[i];
@@ -786,8 +787,8 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
       const double cur = f->rate.bytes_per_second();
       if (std::abs(cur - prev) <= kRateRelTolerance * std::max(prev, cur)) continue;
     }
-    f->completion.cancel();
     f->completion_at = target;
+    if (f->completion.reschedule(target)) continue;
     const FlowId fid = f->id;
     f->completion = engine_.schedule_at(target, [this, fid] { on_completion(fid); });
   }

@@ -17,6 +17,12 @@ void EventHandle::cancel() {
 
 bool EventHandle::pending() const { return engine_ != nullptr && engine_->live(slot_, gen_); }
 
+bool EventHandle::reschedule(SimTime t) {
+  if (!pending()) return false;
+  engine_->reschedule_slot(slot_, t);
+  return true;
+}
+
 EventHandle SimEngine::schedule_at(SimTime t, Callback fn) {
   SAGE_CHECK_MSG(t >= now_, "cannot schedule an event in the simulated past");
   SAGE_CHECK(fn != nullptr);
@@ -31,7 +37,8 @@ EventHandle SimEngine::schedule_at(SimTime t, Callback fn) {
   Slot& s = slots_[slot];
   ++s.gen;  // even -> odd: live
   s.fn = std::move(fn);
-  queue_.push(Event{t, next_seq_++, slot, s.gen});
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Event{t, next_seq_++, slot});
   ++scheduled_;
   return EventHandle{this, slot, s.gen};
 }
@@ -43,14 +50,63 @@ EventHandle SimEngine::schedule_after(SimDuration delay, Callback fn) {
 
 void SimEngine::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  ++s.gen;  // odd -> even: dead; stale heap entries / handles now mismatch
+  ++s.gen;  // odd -> even: dead; stale handles now mismatch
   s.fn = nullptr;
   free_slots_.push_back(slot);
 }
 
 void SimEngine::cancel_slot(std::uint32_t slot) {
+  remove_at(slots_[slot].pos);
   ++cancelled_;
   release_slot(slot);
+}
+
+void SimEngine::reschedule_slot(std::uint32_t slot, SimTime t) {
+  SAGE_CHECK_MSG(t >= now_, "cannot reschedule an event into the simulated past");
+  const std::size_t i = slots_[slot].pos;
+  Event ev = heap_[i];
+  ev.at = t;
+  ev.seq = next_seq_++;
+  restore(i, ev);
+  ++rescheduled_;
+}
+
+// Hole-based sifts: `ev` is the entry being seated, index i the hole.
+void SimEngine::sift_up(std::size_t i, Event ev) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!earlier(ev, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, ev);
+}
+
+void SimEngine::sift_down(std::size_t i, Event ev) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], ev)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, ev);
+}
+
+void SimEngine::restore(std::size_t i, const Event& ev) {
+  if (i > 0 && earlier(ev, heap_[(i - 1) / 2])) {
+    sift_up(i, ev);
+  } else {
+    sift_down(i, ev);
+  }
+}
+
+void SimEngine::remove_at(std::size_t i) {
+  const Event last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) restore(i, last);
 }
 
 void SimEngine::enable_obs(const obs::ObsConfig& config) {
@@ -71,26 +127,25 @@ void SimEngine::publish_obs_metrics() {
   m.counter("sim.events.scheduled")->add(scheduled_ - pub_scheduled_);
   m.counter("sim.events.fired")->add(fired_ - pub_fired_);
   m.counter("sim.events.cancelled")->add(cancelled_ - pub_cancelled_);
+  m.counter("sim.events.rescheduled")->add(rescheduled_ - pub_rescheduled_);
   pub_scheduled_ = scheduled_;
   pub_fired_ = fired_;
   pub_cancelled_ = cancelled_;
+  pub_rescheduled_ = rescheduled_;
   m.gauge("sim.events.live")->set(static_cast<double>(live_events()));
   m.gauge("sim.time_seconds")->set(now_.to_seconds());
 }
 
 bool SimEngine::fire_next() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    if (!live(ev.slot, ev.gen)) continue;  // cancelled, drop lazily
-    Callback fn = std::move(slots_[ev.slot].fn);
-    release_slot(ev.slot);
-    now_ = ev.at;
-    ++fired_;
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const Event ev = heap_.front();
+  remove_at(0);
+  Callback fn = std::move(slots_[ev.slot].fn);
+  release_slot(ev.slot);
+  now_ = ev.at;
+  ++fired_;
+  fn();
+  return true;
 }
 
 std::uint64_t SimEngine::run() {
@@ -102,15 +157,9 @@ std::uint64_t SimEngine::run() {
 std::uint64_t SimEngine::run_until(SimTime t) {
   SAGE_CHECK(t >= now_);
   std::uint64_t n = 0;
-  while (!queue_.empty()) {
-    // Skip cancelled events eagerly so they do not block the horizon test.
-    const Event& top = queue_.top();
-    if (!live(top.slot, top.gen)) {
-      queue_.pop();
-      continue;
-    }
-    if (top.at > t) break;
-    if (fire_next()) ++n;
+  while (!heap_.empty() && heap_.front().at <= t) {
+    fire_next();
+    ++n;
   }
   now_ = t;
   return n;
@@ -118,17 +167,10 @@ std::uint64_t SimEngine::run_until(SimTime t) {
 
 bool SimEngine::step() { return fire_next(); }
 
-bool SimEngine::peek_next_time(SimTime* t) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (!live(top.slot, top.gen)) {
-      queue_.pop();
-      continue;
-    }
-    if (t != nullptr) *t = top.at;
-    return true;
-  }
-  return false;
+bool SimEngine::peek_next_time(SimTime* t) const {
+  if (heap_.empty()) return false;
+  if (t != nullptr) *t = heap_.front().at;
+  return true;
 }
 
 PeriodicTask::PeriodicTask(SimEngine& engine, SimDuration interval, SimEngine::Callback fn)

@@ -8,16 +8,16 @@
 // a monotone sequence number).
 //
 // Scheduling is allocation-free beyond the callback itself: event state
-// lives in a slab of reusable slots, and cancellation is a generation
-// check (an EventHandle names a (slot, generation) pair; releasing a slot
-// bumps its generation so stale handles and stale heap entries are inert).
-// Cancelled events are dropped lazily when they surface at the top of the
-// heap, exactly as before.
+// lives in a slab of reusable slots (an EventHandle names a (slot,
+// generation) pair; releasing a slot bumps its generation so stale handles
+// are inert). The pending events form an indexed binary min-heap on
+// (time, seq): each live slot records its heap position, so cancel removes
+// its entry eagerly and reschedule moves it in place. The heap therefore
+// holds exactly the live events — no cancelled entry ever waits in it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/callback.hpp"
@@ -42,6 +42,11 @@ class EventHandle {
 
   void cancel();
   [[nodiscard]] bool pending() const;
+  /// Move a pending event to absolute time `t` (must be >= now()), keeping
+  /// its callback. The event takes a fresh sequence number, so it orders
+  /// among equal-time events exactly as a cancel followed by schedule_at
+  /// would. Returns false, and does nothing, if the event is not pending.
+  bool reschedule(SimTime t);
 
  private:
   friend class SimEngine;
@@ -82,12 +87,12 @@ class SimEngine {
   /// Fire exactly one event if any is pending. Returns false on empty queue.
   bool step();
 
-  /// Timestamp of the earliest live event, pruning cancelled husks from the
-  /// top of the heap on the way. Returns false when no live event is pending.
-  /// The sharded coordinator uses this to pick each lock-step window start.
-  bool peek_next_time(SimTime* t);
+  /// Timestamp of the earliest pending event. Returns false when none is
+  /// pending. The sharded coordinator uses this to pick each lock-step
+  /// window start.
+  bool peek_next_time(SimTime* t) const;
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
   /// Lifetime totals: every schedule_* call, and every EventHandle::cancel
   /// that actually killed a live event. Always maintained (two integer
@@ -96,14 +101,12 @@ class SimEngine {
   /// holds whether or not observability is enabled.
   [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
-  /// Heap entries, including lazily-dropped cancelled events.
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  /// Scheduled events that are still live — excludes cancelled husks the
-  /// heap drops lazily (cancel releases its slot immediately, so the live
-  /// count is exactly the allocated slots).
-  [[nodiscard]] std::size_t live_events() const {
-    return slots_.size() - free_slots_.size();
-  }
+  /// Lifetime count of successful EventHandle::reschedule calls. A
+  /// reschedule neither schedules nor cancels, so it stays outside the
+  /// accounting invariant above.
+  [[nodiscard]] std::uint64_t events_rescheduled() const { return rescheduled_; }
+  /// Scheduled events that have neither fired nor been cancelled.
+  [[nodiscard]] std::size_t live_events() const { return heap_.size(); }
 
   /// Attach an observability bundle (metrics registry + optional tracer) to
   /// this engine. Must be called before constructing the components that
@@ -123,42 +126,55 @@ class SimEngine {
   friend class EventHandle;
 
   // A slot is live while its generation is odd (allocation bumps even->odd,
-  // release bumps odd->even). The strictly increasing generation makes every
-  // stale reference — an old EventHandle or an abandoned heap entry — detect
-  // its own staleness with one compare, even after the slot is reused.
+  // release bumps odd->even). The strictly increasing generation makes a
+  // stale EventHandle detect its own staleness with one compare, even after
+  // the slot is reused. A live slot's `pos` is its entry's heap index.
   struct Slot {
     std::uint64_t gen = 0;
+    std::uint32_t pos = 0;
     Callback fn;
   };
+  // Heap entries need no generation: cancel unlinks its entry eagerly, so
+  // every entry names a live slot.
   struct Event {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint64_t gen;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  static bool earlier(const Event& a, const Event& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
 
   bool fire_next();
   [[nodiscard]] bool live(std::uint32_t slot, std::uint64_t gen) const {
     return slots_[slot].gen == gen;
   }
   void release_slot(std::uint32_t slot);
-  // Cancellation path only: counts the cancel, then releases. fire_next()
-  // calls release_slot() directly so fired events are never counted as
-  // cancelled.
+  // Cancellation path only: unlinks the heap entry, counts the cancel, then
+  // releases. fire_next() calls release_slot() directly so fired events are
+  // never counted as cancelled.
   void cancel_slot(std::uint32_t slot);
+  void reschedule_slot(std::uint32_t slot, SimTime t);
+
+  // Indexed-heap primitives; each keeps every live slot's `pos` current.
+  void place(std::size_t i, const Event& ev) {
+    heap_[i] = ev;
+    slots_[ev.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i, Event ev);
+  void sift_down(std::size_t i, Event ev);
+  // Re-seat `ev` at index i, whose old occupant's key differed arbitrarily.
+  void restore(std::size_t i, const Event& ev);
+  void remove_at(std::size_t i);
 
   SimTime now_ = SimTime::epoch();
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::uint64_t rescheduled_ = 0;
+  std::vector<Event> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::unique_ptr<obs::Observability> obs_;
@@ -167,6 +183,7 @@ class SimEngine {
   std::uint64_t pub_scheduled_ = 0;
   std::uint64_t pub_fired_ = 0;
   std::uint64_t pub_cancelled_ = 0;
+  std::uint64_t pub_rescheduled_ = 0;
 };
 
 /// Repeats a callback at a fixed interval until stopped. The first firing is

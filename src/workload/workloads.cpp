@@ -133,15 +133,19 @@ void run_metareduce(sim::SimEngine& engine, stream::TransferBackend& backend,
 
   // One pull-loop per site with bounded in-flight files. The loop closure
   // must outlive this scope (completions fire later), so it lives in a
-  // shared holder that the closure captures.
-  auto holder = std::make_shared<std::function<void(std::size_t)>>();
-  *holder = [st, holder](std::size_t site_idx) {
+  // shared holder owned by the in-flight send completions. The loop itself
+  // holds only a weak reference: a strong one would make the holder own
+  // itself, and it would never be freed.
+  using Loop = std::function<void(std::size_t)>;
+  auto holder = std::make_shared<Loop>();
+  *holder = [st, self = std::weak_ptr<Loop>(holder)](std::size_t site_idx) {
     State& s = *st;
     if (s.next_file[site_idx] >= s.params.files_per_site) return;
     ++s.next_file[site_idx];
     const cloud::Region site = s.params.sites[site_idx];
+    // Every caller holds a strong reference, so the lock cannot fail.
     s.backend->send(site, s.params.reducer_site, s.params.file_size,
-                    [st, holder, site_idx](const stream::SendOutcome& o) {
+                    [st, loop = self.lock(), site_idx](const stream::SendOutcome& o) {
                       State& s2 = *st;
                       if (o.ok) {
                         ++s2.result.files_moved;
@@ -156,7 +160,7 @@ void run_metareduce(sim::SimEngine& engine, stream::TransferBackend& backend,
                         }
                         return;
                       }
-                      (*holder)(site_idx);
+                      (*loop)(site_idx);
                     });
   };
   for (std::size_t i = 0; i < params.sites.size(); ++i) {

@@ -167,8 +167,8 @@ TEST(WorldRunUntil, IdleBailIsImmediateOnEmptyWorld) {
   const bench::RunOutcome out = world.run_until([] { return false; });
   EXPECT_EQ(out.reason, bench::RunStop::kIdle);
   EXPECT_EQ(world.engine.now(), SimTime::epoch());
-  // Repeated calls keep bailing immediately even though each left a
-  // cancelled sentinel husk in the heap (live_events ignores husks).
+  // Repeated calls keep bailing immediately: each call's deadline sentinel
+  // is cancelled on exit, so it never counts as pending work.
   const bench::RunOutcome again = world.run_until([] { return false; });
   EXPECT_EQ(again.reason, bench::RunStop::kIdle);
   EXPECT_EQ(world.engine.now(), SimTime::epoch());

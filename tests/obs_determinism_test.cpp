@@ -6,10 +6,9 @@
 //   2. obs output itself is deterministic — metric snapshots and serialized
 //      traces are byte-identical across harness thread counts and repeated
 //      runs.
-// Plus the engine event-accounting invariant (satellite of PR3's slab
-// queue): events_scheduled() == events_fired() + events_cancelled() +
-// live_events(), including the cancelled-husk path where the heap still
-// holds entries whose slots were already released.
+// Plus the engine event-accounting invariant: events_scheduled() ==
+// events_fired() + events_cancelled() + live_events(), through cancels,
+// reschedules and fires.
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -54,12 +53,21 @@ TEST(EventAccounting, InvariantHoldsThroughCancelAndFire) {
   EXPECT_EQ(engine.live_events(), 10u);
   expect_accounting(engine);
 
-  // Cancel every other event: the live count drops immediately even though
-  // the heap still holds the husks (they are dropped lazily on pop).
+  // Cancel every other event: each cancel unlinks its heap entry at once,
+  // so the live count drops and the next event is the first survivor.
   for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
   EXPECT_EQ(engine.events_cancelled(), 5u);
   EXPECT_EQ(engine.live_events(), 5u);
-  EXPECT_GT(engine.pending_events(), engine.live_events());
+  SimTime next;
+  ASSERT_TRUE(engine.peek_next_time(&next));
+  EXPECT_EQ(next, SimTime::epoch() + SimDuration::seconds(2));
+  expect_accounting(engine);
+
+  // Rescheduling a survivor moves it without touching the totals.
+  ASSERT_TRUE(handles[1].reschedule(SimTime::epoch() + SimDuration::seconds(20)));
+  EXPECT_EQ(engine.events_rescheduled(), 1u);
+  EXPECT_EQ(engine.events_scheduled(), 10u);
+  EXPECT_EQ(engine.live_events(), 5u);
   expect_accounting(engine);
 
   // Cancelling twice (or cancelling a dead handle) must not double-count.
@@ -79,9 +87,9 @@ TEST(EventAccounting, InvariantHoldsThroughCancelAndFire) {
 }
 
 TEST(EventAccounting, RunUntilSentinelHusksStayConsistent) {
-  // World::run_until plants a deadline sentinel and cancels it on exit; on
-  // an empty world each call leaves one cancelled husk behind. The counters
-  // must agree with live_events() no matter how many husks pile up.
+  // World::run_until plants a deadline sentinel and cancels it on exit, so
+  // on an empty world every call schedules and cancels one event. The
+  // counters must agree with live_events() however many calls are made.
   bench::World world(/*seed=*/7);
   for (int i = 0; i < 5; ++i) {
     const bench::RunOutcome out = world.run_until([] { return false; });
@@ -102,7 +110,9 @@ TEST(EventAccounting, PublishedMetricsMatchAccessors) {
 
   (void)engine.schedule_after(SimDuration::seconds(1), [] {});
   sim::EventHandle doomed = engine.schedule_after(SimDuration::seconds(2), [] {});
+  sim::EventHandle moved = engine.schedule_after(SimDuration::seconds(3), [] {});
   doomed.cancel();
+  ASSERT_TRUE(moved.reschedule(SimTime::epoch() + SimDuration::seconds(4)));
   engine.run();
 
   engine.publish_obs_metrics();
@@ -111,6 +121,8 @@ TEST(EventAccounting, PublishedMetricsMatchAccessors) {
   EXPECT_EQ(m.find_counter("sim.events.scheduled")->value(), engine.events_scheduled());
   EXPECT_EQ(m.find_counter("sim.events.fired")->value(), engine.events_fired());
   EXPECT_EQ(m.find_counter("sim.events.cancelled")->value(), engine.events_cancelled());
+  ASSERT_NE(m.find_counter("sim.events.rescheduled"), nullptr);
+  EXPECT_EQ(m.find_counter("sim.events.rescheduled")->value(), 1u);
   EXPECT_EQ(m.find_gauge("sim.events.live")->value(),
             static_cast<double>(engine.live_events()));
 
@@ -119,6 +131,7 @@ TEST(EventAccounting, PublishedMetricsMatchAccessors) {
   EXPECT_EQ(m.find_counter("sim.events.scheduled")->value(), engine.events_scheduled());
   EXPECT_EQ(m.find_counter("sim.events.fired")->value(), engine.events_fired());
   EXPECT_EQ(m.find_counter("sim.events.cancelled")->value(), engine.events_cancelled());
+  EXPECT_EQ(m.find_counter("sim.events.rescheduled")->value(), engine.events_rescheduled());
 }
 
 // ---------------------------------------------------------------------------

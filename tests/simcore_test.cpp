@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -196,29 +201,32 @@ TEST(SimEngineTest, HandleOfFiredEventDoesNotCancelReusedSlot) {
   EXPECT_EQ(fired, 11);
 }
 
-TEST(SimEngineTest, CancelledEventsDropLazilyFromHeap) {
+TEST(SimEngineTest, CancelRemovesEventFromHeapEagerly) {
   SimEngine engine;
   EventHandle h = engine.schedule_after(SimDuration::seconds(1), [] {});
-  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_EQ(engine.live_events(), 1u);
   h.cancel();
-  // The heap entry stays until it surfaces; it must not fire or count.
-  EXPECT_EQ(engine.pending_events(), 1u);
-  EXPECT_EQ(engine.run(), 0u);
+  // Nothing is left behind to surface later: the queue is empty at once.
+  EXPECT_EQ(engine.live_events(), 0u);
   EXPECT_TRUE(engine.empty());
+  EXPECT_FALSE(engine.peek_next_time(nullptr));
+  EXPECT_EQ(engine.run(), 0u);
 }
 
-TEST(SimEngineTest, LiveEventsExcludesCancelledHusks) {
+TEST(SimEngineTest, LiveEventsCountsOnlyPendingEvents) {
   SimEngine engine;
   EventHandle a = engine.schedule_after(SimDuration::seconds(1), [] {});
   EventHandle b = engine.schedule_after(SimDuration::seconds(2), [] {});
   EXPECT_EQ(engine.live_events(), 2u);
   a.cancel();
-  // The husk still sits in the heap but no longer counts as live work.
-  EXPECT_EQ(engine.pending_events(), 2u);
   EXPECT_EQ(engine.live_events(), 1u);
+  // The earliest pending event is b, with no cancelled entry ahead of it.
+  SimTime next;
+  ASSERT_TRUE(engine.peek_next_time(&next));
+  EXPECT_EQ(next, SimTime::epoch() + SimDuration::seconds(2));
   EXPECT_TRUE(engine.step());
   EXPECT_EQ(engine.live_events(), 0u);
-  (void)b;
+  EXPECT_FALSE(b.pending());
 }
 
 TEST(SimEngineTest, RunUntilStopsAtHorizon) {
@@ -262,6 +270,202 @@ TEST(SimEngineTest, CountsFiredEvents) {
   for (int i = 0; i < 7; ++i) engine.schedule_after(SimDuration::seconds(i + 1), [] {});
   engine.run();
   EXPECT_EQ(engine.events_fired(), 7u);
+}
+
+// -- Indexed heap: reschedule ------------------------------------------------
+
+void expect_accounting(const SimEngine& e) {
+  EXPECT_EQ(e.events_scheduled(), e.events_fired() + e.events_cancelled() + e.live_events());
+}
+
+SimTime at_s(double s) { return SimTime::epoch() + SimDuration::seconds(s); }
+
+TEST(SimEngineRescheduleTest, EarlierLaterAndSameTime) {
+  SimEngine engine;
+  std::vector<char> order;
+  EventHandle a = engine.schedule_at(at_s(1), [&] { order.push_back('a'); });
+  EventHandle b = engine.schedule_at(at_s(2), [&] { order.push_back('b'); });
+  engine.schedule_at(at_s(2), [&] { order.push_back('d'); });
+  EventHandle c = engine.schedule_at(at_s(3), [&] { order.push_back('c'); });
+  EXPECT_TRUE(c.reschedule(at_s(0.5)));  // earlier: now the root
+  EXPECT_TRUE(a.reschedule(at_s(5)));    // later: now the last
+  // Same time: the fresh sequence number sends b behind d, exactly as a
+  // cancel followed by schedule_at(2 s) would.
+  EXPECT_TRUE(b.reschedule(at_s(2)));
+  EXPECT_EQ(engine.events_rescheduled(), 3u);
+  EXPECT_EQ(engine.run(), 4u);
+  EXPECT_EQ(order, (std::vector<char>{'c', 'd', 'b', 'a'}));
+  EXPECT_EQ(engine.now(), at_s(5));
+}
+
+TEST(SimEngineRescheduleTest, MovesRootLeafAndMiddleEntries) {
+  // Seven events scheduled in time order form a sorted heap: t1 is the root,
+  // t2 a middle entry, t7 the last leaf.
+  SimEngine engine;
+  std::vector<int> order;
+  std::vector<EventHandle> h;
+  for (int i = 1; i <= 7; ++i) {
+    h.push_back(engine.schedule_at(at_s(i), [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_TRUE(h[0].reschedule(at_s(10)));   // root sinks to the bottom
+  EXPECT_TRUE(h[6].reschedule(at_s(0.5)));  // leaf rises to the root
+  EXPECT_TRUE(h[1].reschedule(at_s(8)));    // middle entry sinks
+  SimTime next;
+  ASSERT_TRUE(engine.peek_next_time(&next));
+  EXPECT_EQ(next, at_s(0.5));
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{7, 3, 4, 5, 6, 2, 1}));
+}
+
+TEST(SimEngineRescheduleTest, RefusesEventsThatAreNotPending) {
+  SimEngine engine;
+  int fired = 0;
+  EventHandle none;
+  EXPECT_FALSE(none.reschedule(at_s(1)));
+
+  EventHandle done = engine.schedule_at(at_s(1), [&] { ++fired; });
+  engine.run();
+  EXPECT_FALSE(done.reschedule(at_s(2)));
+
+  EventHandle gone = engine.schedule_at(at_s(3), [&] { ++fired; });
+  gone.cancel();
+  EXPECT_FALSE(gone.reschedule(at_s(4)));
+
+  // `done`'s slot now belongs to a new event; the stale handle must not move it.
+  EventHandle fresh = engine.schedule_at(at_s(6), [&] { fired += 10; });
+  EXPECT_FALSE(done.reschedule(at_s(2)));
+  SimTime next;
+  ASSERT_TRUE(engine.peek_next_time(&next));
+  EXPECT_EQ(next, at_s(6));
+
+  EXPECT_EQ(engine.events_rescheduled(), 0u);
+  engine.run();
+  EXPECT_EQ(fired, 11);
+  EXPECT_FALSE(fresh.pending());
+  expect_accounting(engine);
+}
+
+TEST(SimEngineRescheduleTest, HandleStaysPendingAndCancellable) {
+  SimEngine engine;
+  int fired = 0;
+  EventHandle a = engine.schedule_at(at_s(1), [&] { ++fired; });
+  EventHandle b = engine.schedule_at(at_s(2), [&] { ++fired; });
+  ASSERT_TRUE(a.reschedule(at_s(3)));
+  EXPECT_TRUE(a.pending());
+  expect_accounting(engine);
+  a.cancel();
+  EXPECT_FALSE(a.pending());
+  EXPECT_EQ(engine.events_cancelled(), 1u);
+  EXPECT_EQ(engine.live_events(), 1u);
+  expect_accounting(engine);
+  ASSERT_TRUE(b.reschedule(at_s(4)));
+  ASSERT_TRUE(b.reschedule(at_s(4)));
+  EXPECT_EQ(engine.events_rescheduled(), 3u);
+  // Rescheduling neither schedules nor cancels.
+  EXPECT_EQ(engine.events_scheduled(), 2u);
+  expect_accounting(engine);
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.now(), at_s(4));
+  expect_accounting(engine);
+}
+
+TEST(SimEngineRescheduleTest, IntoThePastThrows) {
+  SimEngine engine;
+  EventHandle h = engine.schedule_at(at_s(5), [] {});
+  engine.run_until(at_s(2));
+  EXPECT_THROW(h.reschedule(at_s(1)), CheckFailure);
+  EXPECT_TRUE(h.pending());
+  EXPECT_TRUE(h.reschedule(at_s(2)));  // now() itself is allowed
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(engine.now(), at_s(2));
+}
+
+TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
+  // Replays a seeded mix of schedule / cancel / reschedule / step / run_until
+  // against a reference queue with cancel+schedule semantics: a sorted
+  // (time, seq) set in which a reschedule is an erase plus an insert under a
+  // fresh sequence number. The engine must fire exactly the same ids in the
+  // same order. Delays are drawn from a few microseconds so equal-time FIFO
+  // ties are frequent.
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (at_us, seq)
+  SimEngine engine;
+  std::set<std::pair<Key, int>> model;
+  std::vector<std::optional<Key>> model_key;  // per id; empty once dead
+  std::vector<EventHandle> handles;
+  std::vector<int> fired;
+  std::vector<int> expected;
+  std::uint64_t seq = 0;
+  std::mt19937_64 rng(20130520);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(std::uniform_int_distribution<std::size_t>(0, n - 1)(rng));
+  };
+  const auto delay = [&] { return static_cast<std::int64_t>(pick(8)); };
+  // Mostly a pending event, sometimes any handle (fired, cancelled or live).
+  const auto target = [&] {
+    if (model.empty() || pick(4) == 0) return pick(handles.size());
+    return static_cast<std::size_t>(std::next(model.begin(), pick(model.size()))->second);
+  };
+  const auto model_pop_through = [&](std::int64_t horizon_us) {
+    while (!model.empty() && model.begin()->first.first <= horizon_us) {
+      const int id = model.begin()->second;
+      model.erase(model.begin());
+      model_key[id].reset();
+      expected.push_back(id);
+    }
+  };
+
+  for (int op = 0; op < 10000; ++op) {
+    const std::int64_t now_us = engine.now().count_micros();
+    const std::size_t kind = pick(10);
+    if (kind < 4 || handles.empty()) {
+      const int id = static_cast<int>(handles.size());
+      const std::int64_t at = now_us + delay();
+      handles.push_back(engine.schedule_at(SimTime::from_micros(at),
+                                           [&fired, id] { fired.push_back(id); }));
+      model_key.emplace_back(Key{at, seq++});
+      model.insert({*model_key.back(), id});
+    } else if (kind < 5) {
+      const std::size_t id = target();
+      handles[id].cancel();
+      if (model_key[id]) {
+        model.erase({*model_key[id], static_cast<int>(id)});
+        model_key[id].reset();
+      }
+    } else if (kind < 8) {
+      const std::size_t id = target();
+      const std::int64_t at = now_us + delay();
+      const bool moved = handles[id].reschedule(SimTime::from_micros(at));
+      ASSERT_EQ(moved, model_key[id].has_value()) << "op " << op;
+      if (moved) {
+        model.erase({*model_key[id], static_cast<int>(id)});
+        model_key[id] = Key{at, seq++};
+        model.insert({*model_key[id], static_cast<int>(id)});
+      }
+    } else if (kind < 9) {
+      const bool stepped = engine.step();
+      ASSERT_EQ(stepped, !model.empty()) << "op " << op;
+      if (stepped) {
+        const int id = model.begin()->second;
+        model_key[id].reset();
+        model.erase(model.begin());
+        expected.push_back(id);
+      }
+    } else {
+      const std::int64_t horizon = now_us + delay();
+      engine.run_until(SimTime::from_micros(horizon));
+      model_pop_through(horizon);
+    }
+    ASSERT_EQ(fired, expected) << "op " << op;
+    ASSERT_EQ(engine.live_events(), model.size()) << "op " << op;
+    ASSERT_EQ(engine.events_scheduled(),
+              engine.events_fired() + engine.events_cancelled() + engine.live_events());
+  }
+  engine.run();
+  model_pop_through(std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(engine.events_rescheduled(), 1000u);
+  EXPECT_GT(engine.events_fired(), 1000u);
 }
 
 TEST(PeriodicTaskTest, FiresAtInterval) {
