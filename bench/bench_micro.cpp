@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 
 #include "cloud/fabric.hpp"
 #include "cloud/provider.hpp"
@@ -111,6 +112,34 @@ void BM_Settle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_Settle)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_SettleNoisy(benchmark::State& state) {
+  // The bulk_stage shape on the noisy default topology: flows from three
+  // sender regions into two receiver NICs form one link-connected
+  // component. Link capacities drift, so every refresh tick re-fills the
+  // whole component at new rates and renews each flow's completion key;
+  // BM_Settle's stable links keep every key and hide that per-flow cost.
+  const auto flows = static_cast<int>(state.range(0));
+  sim::SimEngine engine;
+  cloud::Fabric fabric(engine, cloud::default_topology(), 10);
+  const ByteRate nic = ByteRate::megabits_per_sec(800);
+  const std::array<cloud::NodeId, 2> sinks = {fabric.add_node(cloud::Region::kNorthUS, nic, nic),
+                                              fabric.add_node(cloud::Region::kNorthUS, nic, nic)};
+  const std::array<cloud::Region, 3> senders = {cloud::Region::kNorthEU, cloud::Region::kWestEU,
+                                                cloud::Region::kSouthUS};
+  for (int i = 0; i < flows; ++i) {
+    const cloud::NodeId src = fabric.add_node(senders[static_cast<std::size_t>(i) % 3], nic, nic);
+    // Payload far beyond the measured horizon so no flow completes mid-run.
+    fabric.start_flow(src, sinks[static_cast<std::size_t>(i) % 2], Bytes::gb(100'000), {},
+                      [](const cloud::FlowResult&) {});
+  }
+  engine.run_until(engine.now() + SimDuration::seconds(1));  // activate flows
+  for (auto _ : state) {
+    engine.run_until(engine.now() + SimDuration::millis(500));  // one refresh tick
+  }
+  state.SetItemsProcessed(state.iterations() * flows);
+}
+BENCHMARK(BM_SettleNoisy)->Arg(100);
 
 void BM_SettleDisjoint(benchmark::State& state) {
   // N background flows parked on other region pairs (disjoint link sets);

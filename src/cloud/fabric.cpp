@@ -98,7 +98,13 @@ VariabilityParams nic_variability() {
 
 NodeId Fabric::add_node(Region region, ByteRate nic_up, ByteRate nic_down) {
   SAGE_CHECK(nic_up.bytes_per_second() > 0.0 && nic_down.bytes_per_second() > 0.0);
-  nodes_.push_back(NodeInfo{region, false});
+  // Stable topologies (zero intra-DC noise) keep NICs analytic for tests. A
+  // region without a declared intra-DC link has no noise to inherit.
+  const LinkSlot intra = topology_->edge_index(region, region);
+  const bool nic_noisy =
+      intra != kNoLink &&
+      topology_->edges()[static_cast<std::size_t>(intra)].spec.variability.noise_sigma > 0.0;
+  nodes_.push_back(NodeInfo{region, false, nic_noisy});
   node_up_.push_back(nic_up);
   node_down_.push_back(nic_down);
   node_models_.push_back(nullptr);
@@ -268,11 +274,7 @@ ByteRate Fabric::link_capacity_now(std::size_t link) {
   const std::size_t rel = link - wan_links_;
   const NodeId node = static_cast<NodeId>(rel / 2);
   const ByteRate nominal = (rel % 2 == 0) ? node_up_[node] : node_down_[node];
-  // Stable topologies (zero intra-DC noise) keep NICs analytic for tests.
-  if (topology_->link(nodes_[node].region, nodes_[node].region).variability.noise_sigma <=
-      0.0) {
-    return nominal;
-  }
+  if (!nodes_[node].nic_noisy) return nominal;
   auto& model = node_models_[node];
   if (!model) {
     model = std::make_unique<LinkCapacityModel>(nominal, nic_variability(), rng_.fork());
@@ -602,7 +604,7 @@ ByteRate Fabric::flow_demand(const Flow& flow) const {
   const auto& model = pair_models_[flow.links[1]];
   // The per-flow TCP ceiling breathes with the pair link's congestion
   // factor (window shrinkage under cross-traffic loss); the factor is
-  // fresh because settle queried the link capacity just before.
+  // fresh because settle queried the flow's pair link just before.
   const double factor = model ? model->last_factor() : 1.0;
   cap = std::min(cap, flow.spec_flow_cap.bytes_per_second() * factor * flow.hiccup);
   return ByteRate::bytes_per_sec(std::max(cap, 1.0));
@@ -637,6 +639,9 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
       }
       ++link_count_[l];
     }
+    // Each link is queried once per settle, so the pair factor the demand
+    // reads is final now; every water-filling round reuses this value.
+    f.demand = flow_demand(f).bytes_per_second();
   }
   if (unsettled_.empty()) return;
   if (obs_) {
@@ -674,9 +679,8 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
       still_.clear();
       bool any_demand_limited = false;
       for (Flow* f : pool) {
-        const double demand = flow_demand(*f).bytes_per_second();
-        if (demand <= share + 1e-9) {
-          settle_flow(f, demand);
+        if (f->demand <= share + 1e-9) {
+          settle_flow(f, f->demand);
           any_demand_limited = true;
         } else {
           still_.push_back(f);
@@ -764,15 +768,17 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
     }
   }
 
-  // Reschedule completions at the new rates — but keep the queued event
-  // when the rate is unchanged (within tolerance) and the stored finish
-  // time is still exact for the new remaining bytes. Refresh ticks on
-  // stable links then leave the event heap untouched. A pending completion
-  // moves in place; only a flow without one schedules a new event.
+  // Renew completion keys at the new rates — but keep the key when the
+  // rate is unchanged (within tolerance) and the stored finish time is
+  // still exact for the new remaining bytes, so refresh ticks on stable
+  // links take no new numbers. A renewed key takes its sequence number
+  // here whether or not its event is in the heap, so events order exactly
+  // as if every completion were always queued.
   const SimTime now = engine_.now();
   for (std::size_t i = 0; i < to_reschedule_.size(); ++i) {
     Flow* f = to_reschedule_[i];
     if (f->rate.is_zero() || f->remaining.is_zero()) {
+      f->completion_seq = kNoCompletion;
       f->completion.cancel();
       continue;
     }
@@ -782,16 +788,31 @@ void Fabric::settle_flows(const std::vector<Flow*>& flows) {
     const SimDuration eta =
         std::max(f->rate.time_for(f->remaining), SimDuration::micros(1));
     const SimTime target = now + eta;
-    if (f->completion.pending() && target == f->completion_at) {
+    // A fired key never matches: it lies at now, the target after it.
+    if (f->completion_seq != kNoCompletion && target == f->completion_at) {
       const double prev = old_rates_[i];
       const double cur = f->rate.bytes_per_second();
-      if (std::abs(cur - prev) <= kRateRelTolerance * std::max(prev, cur)) continue;
+      if (std::abs(cur - prev) <= kRateRelTolerance * std::max(prev, cur)) {
+        // Kept key: it may just have entered the horizon.
+        if (!f->completion.pending()) arm_completion(*f);
+        continue;
+      }
     }
     f->completion_at = target;
-    if (f->completion.reschedule(target)) continue;
-    const FlowId fid = f->id;
-    f->completion = engine_.schedule_at(target, [this, fid] { on_completion(fid); });
+    f->completion_seq = engine_.take_seq();
+    arm_completion(*f);
   }
+}
+
+void Fabric::arm_completion(Flow& f) {
+  if (f.completion_at > refresh_at_) {
+    f.completion.cancel();
+    return;
+  }
+  if (f.completion.reschedule(f.completion_at, f.completion_seq)) return;
+  const FlowId fid = f.id;
+  f.completion =
+      engine_.schedule_at(f.completion_at, f.completion_seq, [this, fid] { on_completion(fid); });
 }
 
 void Fabric::on_completion(FlowId id) {
@@ -804,12 +825,18 @@ void Fabric::on_completion(FlowId id) {
 
 void Fabric::refresh_tick() {
   if (flows_.empty()) return;  // goes dormant; restarted by next start_flow
+  // The next tick's time is the horizon this tick's settle arms against;
+  // it is fixed before any completion callback can run.
+  refresh_at_ = next_refresh_time();
   auto flows = take_ptrs();
   collect_all_active(flows);
   advance_flows(flows);
   settle_flows(flows);
   put_ptrs(std::move(flows));
-  schedule_refresh();
+  // A completion callback in advance_flows may have started a flow, which
+  // already restarted the chain (ensure_refresh_running); a second event
+  // here would run two refresh chains.
+  if (!refresh_event_.pending()) schedule_refresh();
 }
 
 void Fabric::ensure_refresh_running() {
@@ -818,16 +845,19 @@ void Fabric::ensure_refresh_running() {
 }
 
 void Fabric::schedule_refresh() {
-  if (!grid_refresh_) {
-    refresh_event_ = engine_.schedule_after(refresh_period_, [this] { refresh_tick(); });
-    return;
-  }
+  // Inside refresh_tick the horizon already names the next tick; otherwise
+  // the chain is waking from dormancy and the horizon is stale.
+  if (refresh_at_ <= engine_.now()) refresh_at_ = next_refresh_time();
+  refresh_event_ = engine_.schedule_at(refresh_at_, [this] { refresh_tick(); });
+}
+
+SimTime Fabric::next_refresh_time() const {
+  if (!grid_refresh_) return engine_.now() + refresh_period_;
   // Grid mode: next tick at the next absolute multiple of the period, so
   // every fabric sharing the grid advances flows at identical sim times no
   // matter when (or how often) each one woke from dormancy.
   const std::int64_t per = refresh_period_.count_micros();
-  const std::int64_t next = (engine_.now().count_micros() / per + 1) * per;
-  refresh_event_ = engine_.schedule_at(SimTime::from_micros(next), [this] { refresh_tick(); });
+  return SimTime::from_micros((engine_.now().count_micros() / per + 1) * per);
 }
 
 std::vector<FlowId> Fabric::take_ids() {

@@ -16,9 +16,12 @@
 // connected component of flows transitively sharing a link with the changed
 // flow (flows on disjoint link sets cannot change rate under max-min).
 // Periodic refresh still re-settles everything so capacity drift reaches
-// every flow, but a completion event is only re-queued when the flow's
-// scheduled finish time actually moved. See DESIGN.md "Simulator
-// performance" for the algorithm and the determinism invariants.
+// every flow. Each flow keeps a (finish time, sequence number) completion
+// key, renewed only when its finish time actually moved; the key sits in
+// the engine heap only while it falls at or before the next refresh tick,
+// which re-settles (and re-arms) every flow before any later key could
+// fire. See DESIGN.md "Simulator performance" for the algorithm and the
+// determinism invariants.
 //
 // This is a deliberate substitution for the paper's real Azure testbed: the
 // scheduler and model layers only ever observe flow-level throughput, which
@@ -192,37 +195,53 @@ class Fabric {
   static constexpr double kHiccupDepthLo = 0.10;
   static constexpr double kHiccupDepthHi = 0.45;
 
-  // A re-settled flow keeps its scheduled completion event when its rate
-  // moved by at most this relative amount AND the previously scheduled
-  // finish time is still exact (to the microsecond) for the new remaining
-  // bytes at the new rate. Refresh ticks on stable links are then heap-free.
+  // A re-settled flow keeps its completion key when its rate moved by at
+  // most this relative amount AND the stored finish time is still exact
+  // (to the microsecond) for the new remaining bytes at the new rate.
+  // Refresh ticks on stable links then renew no keys.
   static constexpr double kRateRelTolerance = 1e-9;
 
+  // Sequence number of a flow with no completion key (still in setup, or
+  // stranded at rate 0).
+  static constexpr std::uint64_t kNoCompletion = ~std::uint64_t{0};
+
+  // Fields every settle pass reads (gather, water-filling, completion keys,
+  // advancement, component flood) come first; the cold tail is touched
+  // only at start, finish and list maintenance.
   struct Flow {
+    std::array<std::size_t, 3> links{};  // up, pair, down (all distinct)
+    std::uint32_t visit = 0;             // component-BFS visit stamp
+    bool active = false;                 // false while in setup-latency phase
+    ByteRate rate;                       // current settled rate
+    double demand = 0.0;                 // demand ceiling (B/s) of the current settle
+    Bytes remaining;
+    SimTime last_progress;
+    // Completion key: target time and the sequence number the event orders
+    // under. The event is in the engine heap only while completion_at is at
+    // or before refresh_at_ (see arm_completion).
+    SimTime completion_at;
+    std::uint64_t completion_seq = kNoCompletion;
+    sim::EventHandle completion;
     FlowId id;
     NodeId src;
     NodeId dst;
-    Bytes total;
-    Bytes remaining;
     ByteRate option_cap;     // demand_cap from FlowOptions (max() if unset)
     ByteRate spec_flow_cap;  // route's nominal per-flow TCP ceiling
     double hiccup = 1.0;     // transient per-connection luck factor
-    ByteRate rate;           // current settled rate
+    // Cold.
+    Bytes total;
     SimTime started;
-    SimTime last_progress;
-    SimTime completion_at;  // target of the scheduled completion event
-    bool active = false;    // false while in setup-latency phase
     CompletionFn on_done;
-    sim::EventHandle completion;
-    std::array<std::size_t, 3> links{};       // up, pair, down (all distinct)
     std::array<std::uint32_t, 3> link_pos{};  // position in each link's flow list
     std::uint32_t active_index = 0;           // position in active_flows_
-    std::uint32_t visit = 0;                  // component-BFS visit stamp
   };
 
   struct NodeInfo {
     Region region;
     bool failed = false;
+    // The region's intra-DC link is noisy, so the NICs wander (see
+    // node_models_); fixed at add_node.
+    bool nic_noisy = false;
   };
 
   /// Dense link id of the declared (a, b) edge. CHECK-fails for undeclared
@@ -265,15 +284,22 @@ class Fabric {
   void advance_flows(std::vector<Flow*>& flows, FlowId complete_hint = 0);
 
   /// Max-min water-filling over the active flows in `flows`, using the
-  /// dense per-link scratch buffers, then reschedule completion events
-  /// with hysteresis. Runs no user callbacks.
+  /// dense per-link scratch buffers, then renew completion keys with
+  /// hysteresis. Runs no user callbacks.
   void settle_flows(const std::vector<Flow*>& flows);
+
+  /// Bring `f`'s engine event in line with its completion key: present
+  /// under exactly (completion_at, completion_seq) when the key falls at or
+  /// before refresh_at_, absent otherwise. Schedules, moves or cancels.
+  void arm_completion(Flow& f);
 
   void on_completion(FlowId id);
   void finish_flow(FlowId id, FlowOutcome outcome);
   void refresh_tick();
   void ensure_refresh_running();
   void schedule_refresh();
+  /// The tick after now(): now + period, or the next grid multiple.
+  [[nodiscard]] SimTime next_refresh_time() const;
   ByteRate link_capacity_now(std::size_t link);
 
   // Observability cells, resolved once in the constructor when the engine
@@ -330,6 +356,11 @@ class Fabric {
   FlowId next_flow_id_ = 1;
   std::vector<Bytes> egress_;  // sized region_count
   sim::EventHandle refresh_event_;
+  // Time of the pending refresh tick — the completion horizon. refresh_tick
+  // moves it to the following tick before it settles, so every completion
+  // key at or before it is armed and any later key is re-examined by that
+  // tick's settle before it could fire.
+  SimTime refresh_at_ = SimTime::epoch();
 
   // Dense, persistent link accounting (index = link id). Scratch entries
   // are validated by stamp so a settle touches only its component's links —

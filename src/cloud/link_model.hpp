@@ -74,8 +74,10 @@ class LinkCapacityModel {
   VariabilityParams params_;
   Rng rng_;
 
-  // AR(1) log-noise state.
+  // AR(1) log-noise state; noise_factor_ caches exp(noise_x_) for the
+  // current step.
   double noise_x_ = 0.0;
+  double noise_factor_ = 1.0;
   SimTime noise_until_ = SimTime::epoch();
 
   // Incident process state.

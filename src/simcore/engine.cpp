@@ -18,13 +18,18 @@ void EventHandle::cancel() {
 bool EventHandle::pending() const { return engine_ != nullptr && engine_->live(slot_, gen_); }
 
 bool EventHandle::reschedule(SimTime t) {
+  return pending() && reschedule(t, engine_->take_seq());
+}
+
+bool EventHandle::reschedule(SimTime t, std::uint64_t seq) {
   if (!pending()) return false;
-  engine_->reschedule_slot(slot_, t);
+  engine_->reschedule_slot(slot_, t, seq);
   return true;
 }
 
-EventHandle SimEngine::schedule_at(SimTime t, Callback fn) {
+EventHandle SimEngine::schedule_at(SimTime t, std::uint64_t seq, Callback fn) {
   SAGE_CHECK_MSG(t >= now_, "cannot schedule an event in the simulated past");
+  SAGE_CHECK_MSG(seq < next_seq_, "sequence number was never handed out");
   SAGE_CHECK(fn != nullptr);
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -38,7 +43,7 @@ EventHandle SimEngine::schedule_at(SimTime t, Callback fn) {
   ++s.gen;  // even -> odd: live
   s.fn = std::move(fn);
   heap_.emplace_back();
-  sift_up(heap_.size() - 1, Event{t, next_seq_++, slot});
+  sift_up(heap_.size() - 1, Event{t, seq, slot});
   ++scheduled_;
   return EventHandle{this, slot, s.gen};
 }
@@ -61,12 +66,13 @@ void SimEngine::cancel_slot(std::uint32_t slot) {
   release_slot(slot);
 }
 
-void SimEngine::reschedule_slot(std::uint32_t slot, SimTime t) {
+void SimEngine::reschedule_slot(std::uint32_t slot, SimTime t, std::uint64_t seq) {
   SAGE_CHECK_MSG(t >= now_, "cannot reschedule an event into the simulated past");
+  SAGE_CHECK_MSG(seq < next_seq_, "sequence number was never handed out");
   const std::size_t i = slots_[slot].pos;
   Event ev = heap_[i];
   ev.at = t;
-  ev.seq = next_seq_++;
+  ev.seq = seq;
   restore(i, ev);
   ++rescheduled_;
 }

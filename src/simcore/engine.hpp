@@ -5,7 +5,9 @@
 // callbacks on one SimEngine. The engine is deliberately single-threaded —
 // determinism is a hard requirement for regenerating the paper tables — and
 // events with equal timestamps fire in scheduling order (FIFO tie-break via
-// a monotone sequence number).
+// a monotone sequence number). A caller may take a sequence number ahead of
+// time (take_seq) and schedule under it later; the event then orders as if
+// it had been scheduled when the number was taken.
 //
 // Scheduling is allocation-free beyond the callback itself: event state
 // lives in a slab of reusable slots (an EventHandle names a (slot,
@@ -18,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/callback.hpp"
@@ -47,6 +50,10 @@ class EventHandle {
   /// among equal-time events exactly as a cancel followed by schedule_at
   /// would. Returns false, and does nothing, if the event is not pending.
   bool reschedule(SimTime t);
+  /// reschedule() under a sequence number taken earlier with
+  /// SimEngine::take_seq(): the event then orders exactly as one scheduled
+  /// at `t` when `seq` was taken.
+  bool reschedule(SimTime t, std::uint64_t seq);
 
  private:
   friend class SimEngine;
@@ -73,7 +80,22 @@ class SimEngine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
-  EventHandle schedule_at(SimTime t, Callback fn);
+  EventHandle schedule_at(SimTime t, Callback fn) {
+    return schedule_at(t, take_seq(), std::move(fn));
+  }
+
+  /// Schedule `fn` at `t` under a sequence number taken earlier with
+  /// take_seq(). Equal-time events fire in sequence order, so the event
+  /// orders exactly as if it had been scheduled when `seq` was taken. A
+  /// number keys at most one pending event at a time (caller's contract).
+  EventHandle schedule_at(SimTime t, std::uint64_t seq, Callback fn);
+
+  /// Hand out the next sequence number without scheduling anything. A
+  /// component that defers an event (the fabric holds a completion out of
+  /// the heap until it falls inside the next refresh tick) takes its number
+  /// at the point where it would have scheduled, so deferral never changes
+  /// the order in which events fire.
+  std::uint64_t take_seq() { return next_seq_++; }
 
   /// Schedule `fn` after a non-negative delay.
   EventHandle schedule_after(SimDuration delay, Callback fn);
@@ -155,7 +177,7 @@ class SimEngine {
   // releases. fire_next() calls release_slot() directly so fired events are
   // never counted as cancelled.
   void cancel_slot(std::uint32_t slot);
-  void reschedule_slot(std::uint32_t slot, SimTime t);
+  void reschedule_slot(std::uint32_t slot, SimTime t, std::uint64_t seq);
 
   // Indexed-heap primitives; each keeps every live slot's `pos` current.
   void place(std::size_t i, const Event& ev) {

@@ -355,5 +355,210 @@ TEST(FabricVariabilityTest, DefaultTopologyCapacityMoves) {
   EXPECT_GT(stats.min(), 0.0);
 }
 
+TEST_F(FabricFixture, RefreshRestartedByCompletionCallbackRunsOneChain) {
+  // A flow that finishes exactly on a refresh tick completes inside that
+  // tick's advancement, and its callback starts another flow. The start
+  // re-arms the refresh chain while the firing tick is no longer pending;
+  // the tick must then not schedule a second successor, or two refresh
+  // chains would run for as long as flows remain.
+  const NodeId a = vm(kNEU);
+  const NodeId b = vm(kNUS);
+  const SimDuration latency = topo.link(kNEU, kNUS).latency;
+  constexpr double kRate = 1e6;  // 1 byte per microsecond: exact arithmetic
+  FlowOptions capped;
+  capped.demand_cap = ByteRate::bytes_per_sec(kRate);
+  // The chain starts with this flow (first tick at 500 ms). The flow
+  // activates after the link latency, so its completion key is younger
+  // than the tick's event and the tick fires first.
+  const Bytes size = Bytes::of((SimDuration::millis(500) - latency).count_micros());
+  bool first_done = false;
+  bool second_done = false;
+  fabric.start_flow(a, b, size, capped, [&](const FlowResult& r) {
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.finished, SimTime::epoch() + SimDuration::millis(500));
+    first_done = true;
+    fabric.start_flow(a, b, Bytes::gb(1), capped,
+                      [&](const FlowResult&) { second_done = true; });
+  });
+  engine.run_until(SimTime::epoch() + SimDuration::seconds(10));
+  ASSERT_TRUE(first_done);
+  const std::uint64_t fired = engine.events_fired();
+  engine.run_until(SimTime::epoch() + SimDuration::seconds(110));
+  EXPECT_FALSE(second_done);
+  // 100 s at a 500 ms period, and nothing else due: one tick per period.
+  EXPECT_EQ(engine.events_fired() - fired, 200u);
+}
+
+// -- Completion horizon -----------------------------------------------------
+//
+// A flow's completion event sits in the engine heap only while its target
+// falls at or before the next refresh tick. The fixture runs on the stable
+// topology with every flow capped at 2^20 B/s and every instant a multiple
+// of 1/64 s, so byte progress and finish targets are exact: a flow's key is
+// set once at activation and kept by every later settle. The parameter
+// selects grid-aligned (true) or phase-locked (false) refresh; the first
+// flow starts off the grid so the two tick sequences differ.
+
+constexpr std::int64_t kStepUs = 15'625;  // 1/64 s
+constexpr double kExactRate = 1'048'576.0;  // 2^20 B/s: 16384 B per step
+
+SimTime at_us(std::int64_t us) { return SimTime::from_micros(us); }
+
+class FabricHorizonTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::int64_t kStartUs = 13 * kStepUs;  // first flow start
+  static constexpr std::int64_t kPeriodUs = 500'000;
+
+  sim::SimEngine engine;
+  Topology topo = stable_topology();
+  Fabric fabric{engine, topo, /*seed=*/7};
+
+  void SetUp() override { fabric.set_refresh_grid(GetParam()); }
+
+  NodeId vm(Region r) { return fabric.add_node(r, kSmallNic, kSmallNic); }
+
+  /// The refresh tick grid: absolute multiples of the period in grid mode,
+  /// otherwise phase-locked to the first flow's start.
+  [[nodiscard]] std::int64_t last_tick_before(std::int64_t t_us) const {
+    const std::int64_t origin = GetParam() ? 0 : kStartUs;
+    return origin + (t_us - origin - 1) / kPeriodUs * kPeriodUs;
+  }
+
+  /// Start a NEU->NUS flow of `steps` 1/64 s steps at kStartUs. Extra setup
+  /// latency puts activation on the step grid; returns its finish time.
+  std::int64_t start_exact_flow(std::int64_t steps, std::vector<std::int64_t>* finished,
+                                char tag = 'c', std::vector<char>* order = nullptr) {
+    const std::int64_t latency = topo.link(kNEU, kNUS).latency.count_micros();
+    const std::int64_t activation = (kStartUs + latency + kStepUs - 1) / kStepUs * kStepUs;
+    FlowOptions opts;
+    opts.demand_cap = ByteRate::bytes_per_sec(kExactRate);
+    opts.extra_setup_latency = SimDuration::micros(activation - kStartUs - latency);
+    const Bytes size = Bytes::of(16'384 * steps);
+    const NodeId src = vm(kNEU);
+    const NodeId dst = vm(kNUS);
+    engine.schedule_at(at_us(kStartUs), [=, this] {
+      fabric.start_flow(src, dst, size, opts, [=, this](const FlowResult& r) {
+        EXPECT_TRUE(r.ok());
+        finished->push_back(r.finished.count_micros());
+        if (order != nullptr) order->push_back(tag);
+      });
+    });
+    return activation + steps * kStepUs;
+  }
+};
+
+TEST_P(FabricHorizonTest, CompletionEntersHorizonAtTickAndFiresOnTarget) {
+  std::vector<std::int64_t> finished;
+  const std::int64_t target = start_exact_flow(195, &finished);  // ~3.3 s
+  const std::int64_t arm_tick = last_tick_before(target);
+  // Until the tick before the target, only the refresh event is queued.
+  for (std::int64_t t = kStartUs + 4 * kStepUs; t < arm_tick; t += kStepUs) {
+    engine.run_until(at_us(t));
+    ASSERT_EQ(engine.live_events(), 1u) << "at " << t << " us";
+  }
+  engine.run_until(at_us(arm_tick));
+  EXPECT_EQ(engine.live_events(), 2u);  // that tick armed the completion
+  engine.run_until(at_us(target + 10 * kStepUs));
+  EXPECT_EQ(finished, (std::vector<std::int64_t>{target}));
+  EXPECT_EQ(engine.events_rescheduled(), 0u);
+}
+
+TEST_P(FabricHorizonTest, KeptTargetIsArmedUnderItsOldNumber) {
+  // Probes at exactly the completion's target, one scheduled before the
+  // flow's key was taken (activation) and one after. Arming the kept key
+  // under its original number puts the completion between them; a fresh
+  // number at arming time would put it last.
+  std::vector<std::int64_t> finished;
+  std::vector<char> order;
+  const std::int64_t target = start_exact_flow(195, &finished, 'c', &order);
+  engine.schedule_at(at_us(target), [&] { order.push_back('a'); });
+  engine.run_until(at_us(kStartUs + 8 * kStepUs));  // activated, key taken
+  ASSERT_EQ(fabric.active_flow_count(), 1u);
+  engine.schedule_at(at_us(target), [&] { order.push_back('b'); });
+  engine.run_until(at_us(target + kStepUs));
+  EXPECT_EQ(order, (std::vector<char>{'a', 'c', 'b'}));
+  EXPECT_EQ(finished, (std::vector<std::int64_t>{target}));
+}
+
+TEST_P(FabricHorizonTest, StrandedFlowsDropTheirEventsAndResumeOnRestore) {
+  // Two flows on one pair link: the short one's completion is armed when
+  // the link goes down, the long one's is not. Stranding cancels the armed
+  // event; restoring re-keys both, shifted by exactly the outage.
+  std::vector<std::int64_t> finished;
+  const std::int64_t short_target = start_exact_flow(195, &finished);   // ~3.3 s
+  const std::int64_t long_target = start_exact_flow(1'000, &finished);  // ~15.9 s
+  const std::int64_t down = 208 * kStepUs;  // 3.25 s, inside the short horizon
+  const std::int64_t outage = 160 * kStepUs;  // 2.5 s
+  ASSERT_LT(last_tick_before(short_target), down);
+  ASSERT_LT(down, short_target);
+  engine.run_until(at_us(down));
+  EXPECT_EQ(engine.live_events(), 2u);  // refresh + the short completion
+  fabric.set_link_chaos_scale(kNEU, kNUS, 0.0, /*abort_flows=*/false);
+  EXPECT_EQ(engine.live_events(), 1u);  // stranded: no completion queued
+  engine.run_until(at_us(down + outage - kStepUs));
+  EXPECT_EQ(engine.live_events(), 1u);
+  EXPECT_TRUE(finished.empty());
+  engine.run_until(at_us(down + outage));
+  fabric.set_link_chaos_scale(kNEU, kNUS, 1.0, /*abort_flows=*/false);
+  EXPECT_EQ(engine.live_events(), 2u);  // the short one is due before the next tick
+  engine.run_until(at_us(long_target + outage + kStepUs));
+  EXPECT_EQ(finished, (std::vector<std::int64_t>{short_target + outage, long_target + outage}));
+  EXPECT_EQ(engine.events_scheduled(),
+            engine.events_fired() + engine.events_cancelled() + engine.live_events());
+}
+
+TEST_P(FabricHorizonTest, LiveEventsStayWithinTheHorizonOnNoisyLinks) {
+  // The bulk-staging shape on the noisy default topology: ~100 flows from
+  // three sender regions into two receiver NICs, one link-connected
+  // component, with sizes spread so completions keep happening. At every
+  // sample the queue holds the refresh tick plus at most the flows whose
+  // projected finish falls before the next tick, never one per flow.
+  sim::SimEngine eng;
+  Fabric fab(eng, default_topology(), /*seed=*/11);
+  fab.set_refresh_grid(GetParam());
+  const ByteRate nic = ByteRate::megabits_per_sec(800);
+  const std::array<NodeId, 2> sinks = {fab.add_node(kNUS, nic, nic), fab.add_node(kNUS, nic, nic)};
+  std::vector<std::pair<FlowId, Bytes>> flows;
+  int done = 0;
+  int i = 0;
+  for (Region r : {kNEU, kWEU, Region::kSouthUS}) {
+    for (int k = 0; k < 34; ++k, ++i) {
+      const NodeId src = fab.add_node(r, nic, nic);
+      const Bytes size = Bytes::mb(4.0 * (1 + (i * 7) % 40));
+      flows.emplace_back(fab.start_flow(src, sinks[static_cast<std::size_t>(i) % 2], size, {},
+                                        [&](const FlowResult& res) {
+                                          EXPECT_TRUE(res.ok());
+                                          ++done;
+                                        }),
+                         size);
+    }
+  }
+  eng.run_until(eng.now() + SimDuration::seconds(1));  // every flow active
+  std::size_t peak_active = 0;
+  std::uint64_t samples = 0;
+  while (done < static_cast<int>(flows.size())) {
+    eng.run_until(eng.now() + SimDuration::millis(37));
+    std::size_t due = 0;
+    for (const auto& [id, size] : flows) {
+      if (!fab.flow_active(id) || fab.flow_rate(id).is_zero()) continue;
+      const Bytes left = size - fab.flow_transferred(id);
+      const double eta = static_cast<double>(left.count()) / fab.flow_rate(id).bytes_per_second();
+      if (eta <= 0.501) ++due;
+    }
+    peak_active = std::max(peak_active, fab.active_flow_count());
+    ASSERT_LE(eng.live_events(), 1 + due) << "at " << eng.now().to_seconds() << " s";
+    ++samples;
+    ASSERT_LT(samples, 100'000u) << "flows did not drain";
+  }
+  EXPECT_EQ(peak_active, flows.size());
+  EXPECT_EQ(eng.events_scheduled(),
+            eng.events_fired() + eng.events_cancelled() + eng.live_events());
+}
+
+INSTANTIATE_TEST_SUITE_P(RefreshModes, FabricHorizonTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "Grid" : "PhaseLocked";
+                         });
+
 }  // namespace
 }  // namespace sage::cloud

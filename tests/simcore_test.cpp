@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -381,13 +382,53 @@ TEST(SimEngineRescheduleTest, IntoThePastThrows) {
   EXPECT_EQ(engine.now(), at_s(2));
 }
 
+TEST(SimEngineRescheduleTest, ReservedNumberOrdersAsSchedulingAtTakeTime) {
+  SimEngine engine;
+  std::vector<char> order;
+  const std::uint64_t early = engine.take_seq();
+  engine.schedule_at(at_s(2), [&] { order.push_back('b'); });
+  EventHandle c = engine.schedule_at(at_s(3), [&] { order.push_back('c'); });
+  const std::uint64_t late = engine.take_seq();
+  engine.schedule_at(at_s(2), [&] { order.push_back('d'); });
+  // Scheduled last, but under a number taken before b: fires ahead of it.
+  engine.schedule_at(at_s(2), early, [&] { order.push_back('a'); });
+  // Moved onto the same instant under a number taken between b and d.
+  EXPECT_TRUE(c.reschedule(at_s(2), late));
+  EXPECT_EQ(engine.events_rescheduled(), 1u);
+  EXPECT_EQ(engine.run(), 4u);
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd'}));
+  expect_accounting(engine);
+}
+
+TEST(SimEngineRescheduleTest, ReservedNumberChecks) {
+  SimEngine engine;
+  const std::uint64_t seq = engine.take_seq();
+  EventHandle h = engine.schedule_at(at_s(5), [] {});
+  engine.run_until(at_s(2));
+  // Past times fail with a reserved number exactly as without one.
+  EXPECT_THROW(engine.schedule_at(at_s(1), seq, [] {}), CheckFailure);
+  EXPECT_THROW(h.reschedule(at_s(1), seq), CheckFailure);
+  // So does a number the engine has not handed out yet.
+  const std::uint64_t next = engine.take_seq() + 1;
+  EXPECT_THROW(engine.schedule_at(at_s(3), next, [] {}), CheckFailure);
+  EXPECT_THROW(h.reschedule(at_s(3), next), CheckFailure);
+  EXPECT_TRUE(h.pending());
+  EXPECT_EQ(engine.live_events(), 1u);
+  expect_accounting(engine);
+  // A handle that is not pending refuses before looking at the number.
+  EventHandle idle;
+  EXPECT_FALSE(idle.reschedule(at_s(3), next));
+}
+
 TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
   // Replays a seeded mix of schedule / cancel / reschedule / step / run_until
   // against a reference queue with cancel+schedule semantics: a sorted
   // (time, seq) set in which a reschedule is an erase plus an insert under a
-  // fresh sequence number. The engine must fire exactly the same ids in the
-  // same order. Delays are drawn from a few microseconds so equal-time FIFO
-  // ties are frequent.
+  // fresh sequence number. Interleaved take_seq() calls reserve numbers that
+  // later schedules and reschedules use, which the reference keys under the
+  // number as taken, i.e. as if the event had been scheduled at take time.
+  // The engine must fire exactly the same ids in the same order. Delays are
+  // drawn from a few microseconds so equal-time FIFO ties are frequent.
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (at_us, seq)
   SimEngine engine;
   std::set<std::pair<Key, int>> model;
@@ -395,7 +436,10 @@ TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
   std::vector<EventHandle> handles;
   std::vector<int> fired;
   std::vector<int> expected;
+  std::vector<std::uint64_t> reserved;  // taken, not yet used
   std::uint64_t seq = 0;
+  std::uint64_t reserved_used = 0;
+  std::uint64_t checks_thrown = 0;
   std::mt19937_64 rng(20130520);
   const auto pick = [&](std::size_t n) {
     return static_cast<std::size_t>(std::uniform_int_distribution<std::size_t>(0, n - 1)(rng));
@@ -405,6 +449,14 @@ TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
   const auto target = [&] {
     if (model.empty() || pick(4) == 0) return pick(handles.size());
     return static_cast<std::size_t>(std::next(model.begin(), pick(model.size()))->second);
+  };
+  // A reserved number, oldest-first or newest-first, consumed by the caller.
+  const auto take_reserved = [&] {
+    const std::size_t i = pick(2) == 0 ? 0 : reserved.size() - 1;
+    const std::uint64_t r = reserved[i];
+    reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+    ++reserved_used;
+    return r;
   };
   const auto model_pop_through = [&](std::int64_t horizon_us) {
     while (!model.empty() && model.begin()->first.first <= horizon_us) {
@@ -417,13 +469,21 @@ TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
 
   for (int op = 0; op < 10000; ++op) {
     const std::int64_t now_us = engine.now().count_micros();
-    const std::size_t kind = pick(10);
-    if (kind < 4 || handles.empty()) {
+    const std::size_t kind = pick(15);
+    if (kind < 4 || handles.empty() || (kind == 12 && reserved.empty())) {
       const int id = static_cast<int>(handles.size());
       const std::int64_t at = now_us + delay();
       handles.push_back(engine.schedule_at(SimTime::from_micros(at),
                                            [&fired, id] { fired.push_back(id); }));
       model_key.emplace_back(Key{at, seq++});
+      model.insert({*model_key.back(), id});
+    } else if (kind == 12) {
+      const int id = static_cast<int>(handles.size());
+      const std::int64_t at = now_us + delay();
+      const std::uint64_t r = take_reserved();
+      handles.push_back(engine.schedule_at(SimTime::from_micros(at), r,
+                                           [&fired, id] { fired.push_back(id); }));
+      model_key.emplace_back(Key{at, r});
       model.insert({*model_key.back(), id});
     } else if (kind < 5) {
       const std::size_t id = target();
@@ -432,14 +492,19 @@ TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
         model.erase({*model_key[id], static_cast<int>(id)});
         model_key[id].reset();
       }
-    } else if (kind < 8) {
+    } else if (kind < 8 || kind == 13) {
       const std::size_t id = target();
       const std::int64_t at = now_us + delay();
-      const bool moved = handles[id].reschedule(SimTime::from_micros(at));
+      const bool use_reserved = kind == 13 && !reserved.empty() && model_key[id].has_value();
+      const std::uint64_t key_seq = use_reserved ? take_reserved() : seq;
+      const bool moved = use_reserved
+                             ? handles[id].reschedule(SimTime::from_micros(at), key_seq)
+                             : handles[id].reschedule(SimTime::from_micros(at));
       ASSERT_EQ(moved, model_key[id].has_value()) << "op " << op;
       if (moved) {
+        if (!use_reserved) ++seq;
         model.erase({*model_key[id], static_cast<int>(id)});
-        model_key[id] = Key{at, seq++};
+        model_key[id] = Key{at, key_seq};
         model.insert({*model_key[id], static_cast<int>(id)});
       }
     } else if (kind < 9) {
@@ -451,10 +516,35 @@ TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
         model.erase(model.begin());
         expected.push_back(id);
       }
-    } else {
+    } else if (kind < 10) {
       const std::int64_t horizon = now_us + delay();
       engine.run_until(SimTime::from_micros(horizon));
       model_pop_through(horizon);
+    } else if (kind < 12) {
+      const std::uint64_t r = engine.take_seq();
+      ASSERT_EQ(r, seq) << "op " << op;
+      reserved.push_back(seq++);
+    } else {
+      // Misuse must fail the check and leave the engine untouched: a time
+      // in the past (when the clock has moved), or the next number, which
+      // has not been handed out yet.
+      const std::size_t id = target();
+      if (now_us > 0 && !reserved.empty()) {
+        EXPECT_THROW(engine.schedule_at(SimTime::from_micros(now_us - 1), reserved.front(),
+                                        [] {}),
+                     CheckFailure);
+        if (model_key[id]) {
+          EXPECT_THROW(handles[id].reschedule(SimTime::from_micros(now_us - 1),
+                                              reserved.front()),
+                       CheckFailure);
+        }
+        ++checks_thrown;
+      }
+      EXPECT_THROW(engine.schedule_at(SimTime::from_micros(now_us), seq, [] {}), CheckFailure);
+      if (model_key[id]) {
+        EXPECT_THROW(handles[id].reschedule(SimTime::from_micros(now_us), seq), CheckFailure);
+      }
+      ++checks_thrown;
     }
     ASSERT_EQ(fired, expected) << "op " << op;
     ASSERT_EQ(engine.live_events(), model.size()) << "op " << op;
@@ -466,6 +556,8 @@ TEST(SimEngineRescheduleTest, RandomizedDifferentialAgainstCancelAndSchedule) {
   EXPECT_EQ(fired, expected);
   EXPECT_GT(engine.events_rescheduled(), 1000u);
   EXPECT_GT(engine.events_fired(), 1000u);
+  EXPECT_GT(reserved_used, 500u);
+  EXPECT_GT(checks_thrown, 300u);
 }
 
 TEST(PeriodicTaskTest, FiresAtInterval) {
